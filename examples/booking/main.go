@@ -34,12 +34,8 @@ func main() {
 	// Fig. 2: the windows of a with respect to b, as the pipeline computes
 	// them — the overlap join feeds LAWAU feeds LAWAN.
 	fmt.Println("generalized lineage-aware temporal windows of a w.r.t. b:")
-	it := core.LAWAN(core.LAWAU(core.OverlapJoin(a, b, theta)))
-	for {
-		w, ok := it.Next()
-		if !ok {
-			break
-		}
+	wuon := core.WUON(a, b, theta)
+	for _, w := range wuon {
 		fmt.Printf("  %-11s %s\n", w.Class().String()+":", w)
 	}
 
@@ -52,7 +48,6 @@ func main() {
 	}
 
 	// Sanity: the windows above are exactly the Table I sets.
-	wuon := core.WUON(a, b, theta)
 	counts := map[window.Class]int{}
 	for _, w := range wuon {
 		counts[w.Class()]++

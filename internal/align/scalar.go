@@ -6,9 +6,7 @@ package align
 // tuples (conventional join 1), sort them, and re-probe the inner
 // relation once per fragment for its covering tuples (conventional
 // join 2). The indexed pipeline in align.go is property-tested
-// byte-identical against this code (TestIndexedMatchesScalarAlign), the
-// same way core's batched window transport is pinned against its scalar
-// path.
+// byte-identical against this code (TestIndexedMatchesScalarAlign).
 //
 // Besides serving as the reference, this path still executes two real
 // configurations: Config.NestedLoop — the plan PostgreSQL's optimizer

@@ -34,6 +34,11 @@ import (
 
 const binaryMagic = "TPR1"
 
+// maxAttrs bounds the attribute count ReadBinary accepts, well above any
+// real schema (PostgreSQL allows 1600 columns), so a corrupt count cannot
+// size the schema and every fact from untrusted input.
+const maxAttrs = 1 << 12
+
 // SaveBinary writes rel to the named file in the binary format.
 func SaveBinary(path string, rel *tp.Relation) error {
 	f, err := os.Create(path)
@@ -173,6 +178,9 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	if nAttrs > maxAttrs {
+		return nil, fmt.Errorf("catalog: implausible attribute count %d", nAttrs)
+	}
 	attrs := make([]string, nAttrs)
 	for i := range attrs {
 		if attrs[i], err = readString(); err != nil {
@@ -197,7 +205,11 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel.Probs[lineage.Var{Rel: relName, ID: int(id)}] = p
+		v := lineage.Var{Rel: relName, ID: int(id)}
+		if !validProb(p) {
+			return nil, fmt.Errorf("catalog: base event %v: bad probability %v", v, p)
+		}
+		rel.Probs[v] = p
 	}
 	nTuples, err := binary.ReadUvarint(br)
 	if err != nil {
@@ -225,6 +237,9 @@ func ReadBinary(r io.Reader) (*tp.Relation, error) {
 		p, err := readFloat(r)
 		if err != nil {
 			return nil, err
+		}
+		if !validProb(p) {
+			return nil, fmt.Errorf("catalog: tuple %d: bad probability %v", i, p)
 		}
 		lam, err := dec.Decode()
 		if err != nil {

@@ -195,7 +195,7 @@ func ReadCSV(rd io.Reader, name string) (*tp.Relation, error) {
 			return nil, fmt.Errorf("catalog: line %d: empty interval [%d,%d)", line, start, end)
 		}
 		p, err := strconv.ParseFloat(rec[n+2], 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || !validProb(p) {
 			return nil, fmt.Errorf("catalog: line %d: bad probability %q", line, rec[n+2])
 		}
 		fact := make(tp.Fact, n)
@@ -206,6 +206,11 @@ func ReadCSV(rd io.Reader, name string) (*tp.Relation, error) {
 	}
 	return rel, nil
 }
+
+// validProb reports whether p is a probability. It is written as a
+// positive range test so that NaN, which compares false with everything,
+// fails it.
+func validProb(p float64) bool { return p >= 0 && p <= 1 }
 
 // LoadCSV reads the named file into a relation called name.
 func LoadCSV(path, name string) (*tp.Relation, error) {

@@ -1,18 +1,22 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"tpjoin/internal/align"
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 	"tpjoin/internal/window"
 )
 
-// These tests pin the batched window transport to the scalar reference
-// path: every join variant must produce byte-identical results whether
-// windows hop the pipeline one Next call or one NextBatch at a time, on
-// both evaluation workloads.
+// These tests pin the batched window transport: every stage must yield
+// the same window stream whatever buffer sizes it is pulled with, and
+// every NJ/PNJ output probability must be bit-identical to the scalar
+// prob.Evaluator, the reference the batched probability tail replaces.
 
 func equivInputs(t *testing.T) []struct {
 	name  string
@@ -54,127 +58,131 @@ func drainStream(it TupleIterator, attrs []string) *tp.Relation {
 
 var equivOps = []tp.Op{tp.OpInner, tp.OpLeft, tp.OpFull, tp.OpAnti}
 
-// TestBatchScalarEquivalence: NJ — the batched JoinStream must be
-// byte-identical to the scalar reference for every operator.
+// checkScalarProbs requires every tuple's probability to be bit-identical
+// to the scalar evaluator's on the tuple's lineage.
+func checkScalarProbs(t *testing.T, label string, rel *tp.Relation, probs prob.Probs) {
+	t.Helper()
+	ev := prob.NewEvaluator(probs)
+	for i, tu := range rel.Tuples {
+		if want := ev.Prob(tu.Lineage); math.Float64bits(tu.Prob) != math.Float64bits(want) {
+			t.Fatalf("%s: tuple %d %s: prob %v, scalar evaluator %v", label, i, tu, tu.Prob, want)
+		}
+	}
+}
+
+// TestBatchScalarEquivalence: NJ — every tuple the batched JoinStream
+// emits carries the scalar evaluator's probability, bit for bit, for
+// every operator.
 func TestBatchScalarEquivalence(t *testing.T) {
 	for _, in := range equivInputs(t) {
+		probs := tp.MergeProbs(in.r, in.s)
 		for _, op := range equivOps {
-			batched, attrs := JoinStream(op, in.r, in.s, in.theta)
-			scalar, _ := ScalarJoinStream(op, in.r, in.s, in.theta)
-			got := renderTuples(drainStream(batched, attrs))
-			want := renderTuples(drainStream(scalar, attrs))
-			if len(got) != len(want) {
-				t.Fatalf("%s %v: batched %d tuples, scalar %d", in.name, op, len(got), len(want))
+			it, attrs := JoinStream(op, in.r, in.s, in.theta)
+			got := drainStream(it, attrs)
+			if got.Len() == 0 {
+				t.Fatalf("%s %v: empty result", in.name, op)
 			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s %v: tuple %d differs:\n batched: %s\n scalar:  %s",
-						in.name, op, i, got[i], want[i])
-				}
-			}
+			checkScalarProbs(t, fmt.Sprintf("%s %v", in.name, op), got, probs)
 		}
 	}
 }
 
-// TestBatchScalarEquivalencePNJ: the partitioned-parallel executor must be
-// byte-identical under both transports (same partition-major order).
+// TestBatchScalarEquivalencePNJ: the partitioned-parallel executor's
+// probabilities are bit-identical to the scalar evaluator too, and its
+// tuples, canonically sorted, equal NJ's.
 func TestBatchScalarEquivalencePNJ(t *testing.T) {
 	for _, in := range equivInputs(t) {
+		probs := tp.MergeProbs(in.r, in.s)
 		for _, op := range equivOps {
-			batched := parallelJoin(op, in.r, in.s, in.theta, 4, true)
-			scalar := parallelJoin(op, in.r, in.s, in.theta, 4, false)
-			got, want := renderTuples(batched), renderTuples(scalar)
-			if len(got) != len(want) {
-				t.Fatalf("%s %v: batched %d tuples, scalar %d", in.name, op, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s %v: tuple %d differs:\n batched: %s\n scalar:  %s",
-						in.name, op, i, got[i], want[i])
-				}
+			pnj := ParallelJoin(op, in.r, in.s, in.theta, 4)
+			checkScalarProbs(t, fmt.Sprintf("%s %v PNJ", in.name, op), pnj, probs)
+			got := renderTuples(pnj)
+			want := renderTuples(Join(op, in.r, in.s, in.theta))
+			slices.Sort(got)
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s %v: PNJ (%d tuples) differs from NJ (%d tuples)", in.name, op, len(got), len(want))
 			}
 		}
 	}
 }
 
-// TestBatchScalarEquivalenceTA: the TA baseline has a single (blocking)
-// code path; pin its run-to-run determinism so the three strategies stay
-// comparable byte-for-byte across the equivalence suite.
-func TestBatchScalarEquivalenceTA(t *testing.T) {
+// TestTARunToRunDeterminism: the TA baseline has a single (blocking) code
+// path; pin its run-to-run determinism so the strategies stay comparable
+// byte-for-byte.
+func TestTARunToRunDeterminism(t *testing.T) {
 	for _, in := range equivInputs(t) {
 		for _, op := range equivOps {
 			a := renderTuples(align.Join(op, in.r, in.s, in.theta, align.Config{}))
 			b := renderTuples(align.Join(op, in.r, in.s, in.theta, align.Config{}))
-			if len(a) != len(b) {
-				t.Fatalf("%s %v: TA nondeterministic sizes", in.name, op)
-			}
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("%s %v: TA tuple %d differs between runs", in.name, op, i)
-				}
+			if !slices.Equal(a, b) {
+				t.Fatalf("%s %v: TA result differs between runs", in.name, op)
 			}
 		}
 	}
 }
 
-// TestWindowBatchEquivalence pins the window-level transport: draining
-// OverlapJoin → LAWAU → LAWAN via NextBatch yields exactly the scalar
-// stream, stage by stage.
-func TestWindowBatchEquivalence(t *testing.T) {
-	for _, in := range equivInputs(t) {
-		pipelines := map[string]func() Iterator{
-			"overlap": func() Iterator { return OverlapJoin(in.r, in.s, in.theta) },
-			"wuo":     func() Iterator { return LAWAU(OverlapJoin(in.r, in.s, in.theta)) },
-			"wuon":    func() Iterator { return LAWAN(LAWAU(OverlapJoin(in.r, in.s, in.theta))) },
-		}
-		for name, mk := range pipelines {
-			scalar := Drain(mk())
-			batched := DrainBatched(mk())
-			if len(scalar) != len(batched) {
-				t.Fatalf("%s/%s: scalar %d windows, batched %d", in.name, name, len(scalar), len(batched))
-			}
-			for i := range scalar {
-				if !scalar[i].Equal(batched[i]) {
-					t.Fatalf("%s/%s: window %d differs:\n scalar:  %v\n batched: %v",
-						in.name, name, i, scalar[i], batched[i])
-				}
-			}
-		}
+// equivStages builds each window-pipeline stage over in afresh.
+func equivStages(r, s *tp.Relation, theta tp.Theta) map[string]func() Iterator {
+	return map[string]func() Iterator{
+		"overlap": func() Iterator { return OverlapJoin(r, s, theta) },
+		"wuo":     func() Iterator { return LAWAU(OverlapJoin(r, s, theta)) },
+		"wuon":    func() Iterator { return LAWAN(LAWAU(OverlapJoin(r, s, theta))) },
 	}
 }
 
-// TestMixedNextAndNextBatch interleaves scalar and batched pulls on one
-// iterator; the combined stream must equal the scalar drain.
-func TestMixedNextAndNextBatch(t *testing.T) {
-	in := equivInputs(t)[0]
-	want := Drain(LAWAN(LAWAU(OverlapJoin(in.r, in.s, in.theta))))
-
-	it := LAWAN(LAWAU(OverlapJoin(in.r, in.s, in.theta)))
-	var got []window.Window
-	buf := make([]window.Window, 17) // deliberately not BatchSize
-	scalarTurn := true
-	for {
-		if scalarTurn {
-			w, ok := it.Next()
-			if !ok {
-				break
-			}
-			got = append(got, w)
-		} else {
-			n := NextBatch(it, buf)
-			if n == 0 {
-				break
-			}
-			got = append(got, buf[:n]...)
+// drainSizes pulls it to exhaustion, the i-th call with a buffer of
+// sizes[i%len(sizes)] windows.
+func drainSizes(it Iterator, sizes ...int) []window.Window {
+	var out []window.Window
+	for i := 0; ; i++ {
+		buf := make([]window.Window, sizes[i%len(sizes)])
+		n := it.NextBatch(buf)
+		if n == 0 {
+			return out
 		}
-		scalarTurn = !scalarTurn
+		out = append(out, buf[:n]...)
 	}
+}
+
+func requireSameWindows(t *testing.T, label string, got, want []window.Window) {
+	t.Helper()
 	if len(got) != len(want) {
-		t.Fatalf("mixed drain: %d windows, want %d", len(got), len(want))
+		t.Fatalf("%s: %d windows, want %d", label, len(got), len(want))
 	}
 	for i := range got {
 		if !got[i].Equal(want[i]) {
-			t.Fatalf("mixed drain: window %d differs", i)
+			t.Fatalf("%s: window %d differs:\n got:  %v\n want: %v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// TestWindowBatchEquivalence pins the window-level transport stage by
+// stage: pulling one window per call, 17 per call, BatchSize per call or
+// through Drain yields the identical stream.
+func TestWindowBatchEquivalence(t *testing.T) {
+	for _, in := range equivInputs(t) {
+		for name, mk := range equivStages(in.r, in.s, in.theta) {
+			want := drainSizes(mk(), 1)
+			if len(want) == 0 {
+				t.Fatalf("%s/%s: empty stream", in.name, name)
+			}
+			for _, size := range []int{17, BatchSize} {
+				requireSameWindows(t, fmt.Sprintf("%s/%s size %d", in.name, name, size), drainSizes(mk(), size), want)
+			}
+			requireSameWindows(t, fmt.Sprintf("%s/%s Drain", in.name, name), Drain(mk()), want)
+		}
+	}
+}
+
+// TestMixedBatchSizes varies the buffer size from call to call on one
+// iterator; the combined stream must equal the one-window-per-call drain.
+func TestMixedBatchSizes(t *testing.T) {
+	for _, in := range equivInputs(t) {
+		for name, mk := range equivStages(in.r, in.s, in.theta) {
+			want := drainSizes(mk(), 1)
+			got := drainSizes(mk(), 1, 17, BatchSize, 3)
+			requireSameWindows(t, fmt.Sprintf("%s/%s mixed", in.name, name), got, want)
 		}
 	}
 }

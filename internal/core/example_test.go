@@ -52,7 +52,7 @@ func ExampleAntiJoin() {
 	// ('m1', state1 ∧ ¬service1, [4,7), 0.45)
 }
 
-// Windows stream through the pipeline without materialization; the three
+// WUON drains the OverlapJoin → LAWAU → LAWAN pipeline; the three window
 // classes carry the facts and lineages needed to form output tuples.
 func ExampleLAWAN() {
 	a := tp.NewRelation("a", "K")
@@ -61,12 +61,7 @@ func ExampleLAWAN() {
 	b.Append(tp.Strings("x"), interval.New(2, 5), 0.4)
 	b.Append(tp.Strings("x"), interval.New(4, 8), 0.6)
 
-	it := core.LAWAN(core.LAWAU(core.OverlapJoin(a, b, tp.Equi(0, 0))))
-	for {
-		w, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, w := range core.WUON(a, b, tp.Equi(0, 0)) {
 		fmt.Printf("%-11s %s %s\n", w.Class(), w.T, w.Ls)
 	}
 	// Output:

@@ -30,22 +30,13 @@ import (
 	"tpjoin/internal/window"
 )
 
-// Iterator is a pull-based stream of windows. Next returns the next window
-// and true, or a zero window and false when the stream is exhausted.
+// Iterator is a pull-based stream of windows moving in batches: NextBatch
+// fills buf (len(buf) > 0) with up to len(buf) windows and returns how
+// many it wrote; 0 means the stream is exhausted. Any buffer size yields
+// the same window stream, and sizes may vary from call to call on one
+// iterator. One call moves up to BatchSize windows between pipeline
+// stages instead of one, which is the whole point of the contract.
 type Iterator interface {
-	Next() (window.Window, bool)
-}
-
-// BatchIterator is the batched counterpart of Iterator: NextBatch fills
-// buf with up to len(buf) windows and returns how many it wrote; 0 means
-// the stream is exhausted. Windows arrive in exactly the order Next would
-// produce them, and Next/NextBatch calls may be freely interleaved on one
-// iterator. The batched path exists purely for throughput — one virtual
-// call moves BatchSize windows between pipeline stages instead of one —
-// while the scalar Next path remains the reference implementation
-// (TestBatchScalarEquivalence pins their equality).
-type BatchIterator interface {
-	Iterator
 	NextBatch(buf []window.Window) int
 }
 
@@ -93,45 +84,13 @@ func putBatchBuf(b *[]window.Window) {
 	batchPool.Put(b)
 }
 
-// NextBatch fills buf from it, using the batched fast path when the
-// iterator provides one and falling back to scalar Next calls otherwise.
-func NextBatch(it Iterator, buf []window.Window) int {
-	if b, ok := it.(BatchIterator); ok {
-		return b.NextBatch(buf)
-	}
-	n := 0
-	for n < len(buf) {
-		w, ok := it.Next()
-		if !ok {
-			break
-		}
-		buf[n] = w
-		n++
-	}
-	return n
-}
-
-// Drain materializes the remainder of an iterator into a slice, one scalar
-// Next call per window (the reference path).
+// Drain materializes the remainder of an iterator into a slice.
 func Drain(it Iterator) []window.Window {
-	var out []window.Window
-	for {
-		w, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, w)
-	}
-}
-
-// DrainBatched materializes the remainder of an iterator through the
-// batched transport.
-func DrainBatched(it Iterator) []window.Window {
 	buf := getBatchBuf()
 	defer putBatchBuf(buf)
 	var out []window.Window
 	for {
-		n := NextBatch(it, *buf)
+		n := it.NextBatch(*buf)
 		if n == 0 {
 			return out
 		}
@@ -140,27 +99,17 @@ func DrainBatched(it Iterator) []window.Window {
 }
 
 // Count consumes the iterator and returns the number of windows; used by
-// benchmarks to force full evaluation without retaining memory. It pulls
-// through the batched transport when available.
+// benchmarks to force full evaluation without retaining memory.
 func Count(it Iterator) int {
-	if b, ok := it.(BatchIterator); ok {
-		buf := getBatchBuf()
-		defer putBatchBuf(buf)
-		n := 0
-		for {
-			c := b.NextBatch(*buf)
-			if c == 0 {
-				return n
-			}
-			n += c
-		}
-	}
+	buf := getBatchBuf()
+	defer putBatchBuf(buf)
 	n := 0
 	for {
-		if _, ok := it.Next(); !ok {
+		c := it.NextBatch(*buf)
+		if c == 0 {
 			return n
 		}
-		n++
+		n += c
 	}
 }
 
@@ -175,17 +124,7 @@ func NewSliceIterator(ws []window.Window) *SliceIterator {
 	return &SliceIterator{ws: ws}
 }
 
-// Next implements Iterator.
-func (s *SliceIterator) Next() (window.Window, bool) {
-	if s.i >= len(s.ws) {
-		return window.Window{}, false
-	}
-	w := s.ws[s.i]
-	s.i++
-	return w, true
-}
-
-// NextBatch implements BatchIterator.
+// NextBatch implements Iterator.
 func (s *SliceIterator) NextBatch(buf []window.Window) int {
 	n := copy(buf, s.ws[s.i:])
 	s.i += n
@@ -201,23 +140,9 @@ type queue struct {
 
 func (q *queue) push(w window.Window) { q.buf = append(q.buf, w) }
 
-func (q *queue) pop() (window.Window, bool) {
-	if q.head >= len(q.buf) {
-		return window.Window{}, false
-	}
-	w := q.buf[q.head]
-	q.head++
-	if q.head == len(q.buf) {
-		// Reuse storage once fully drained to keep the queue allocation
-		// bounded by the burst size, not the stream length.
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return w, true
-}
-
 // popInto moves up to len(buf) queued windows into buf and returns how
-// many it moved — the batched counterpart of pop.
+// many it moved. Storage is reused once fully drained, which keeps the
+// queue allocation bounded by the burst size, not the stream length.
 func (q *queue) popInto(buf []window.Window) int {
 	n := copy(buf, q.buf[q.head:])
 	q.head += n

@@ -23,7 +23,7 @@ type lawan struct {
 	in  Iterator
 	out queue
 
-	// Batched-input state; see lawau.
+	// Input state; see lawau.
 	inBuf      *[]window.Window
 	inPos, inN int
 
@@ -41,17 +41,6 @@ type lawan struct {
 // (the order LAWAU preserves from OverlapJoin).
 func LAWAN(in Iterator) Iterator { return &lawan{in: in} }
 
-// nextInput returns the next input window, consuming any batched leftovers
-// before falling back to a scalar pull.
-func (l *lawan) nextInput() (window.Window, bool) {
-	if l.inPos < l.inN {
-		w := (*l.inBuf)[l.inPos]
-		l.inPos++
-		return w, true
-	}
-	return l.in.Next()
-}
-
 func (l *lawan) releaseBuf() {
 	if l.inBuf != nil {
 		putBatchBuf(l.inBuf)
@@ -60,12 +49,8 @@ func (l *lawan) releaseBuf() {
 	l.inPos, l.inN = 0, 0
 }
 
-// consume folds one input window into the sweep state.
-func (l *lawan) consume(w *window.Window) {
-	l.consumeInto(w, nil, 0)
-}
-
-// consumeInto is consume with direct emission; see lawau.consumeInto.
+// consumeInto folds one input window into the sweep state; see
+// lawau.consumeInto.
 func (l *lawan) consumeInto(w *window.Window, buf []window.Window, n int) int {
 	if !l.inGroup || w.RID != l.rid {
 		n = l.flushInto(buf, n)
@@ -95,26 +80,7 @@ func (l *lawan) emitInto(w *window.Window, buf []window.Window, n int) int {
 	return n
 }
 
-func (l *lawan) Next() (window.Window, bool) {
-	for {
-		if w, ok := l.out.pop(); ok {
-			return w, true
-		}
-		if l.done {
-			return window.Window{}, false
-		}
-		w, ok := l.nextInput()
-		if !ok {
-			l.flush()
-			l.done = true
-			l.releaseBuf()
-			continue
-		}
-		l.consume(&w)
-	}
-}
-
-// NextBatch implements BatchIterator; see lawau.NextBatch.
+// NextBatch implements Iterator; see lawau.NextBatch.
 func (l *lawan) NextBatch(buf []window.Window) int {
 	n := l.out.popInto(buf)
 	for n < len(buf) {
@@ -125,10 +91,10 @@ func (l *lawan) NextBatch(buf []window.Window) int {
 			if l.inBuf == nil {
 				l.inBuf = getBatchBuf()
 			}
-			l.inN = NextBatch(l.in, *l.inBuf)
+			l.inN = l.in.NextBatch(*l.inBuf)
 			l.inPos = 0
 			if l.inN == 0 {
-				l.flush()
+				n = l.flushInto(buf, n)
 				l.done = true
 				l.releaseBuf()
 				return n + l.out.popInto(buf[n:])
@@ -174,12 +140,8 @@ func (l *lawan) advanceInto(to interval.Time, buf []window.Window, n int) int {
 	return n
 }
 
-// flush drains the remaining elementary intervals of the group being
+// flushInto drains the remaining elementary intervals of the group being
 // closed.
-func (l *lawan) flush() {
-	l.flushInto(nil, 0)
-}
-
 func (l *lawan) flushInto(buf []window.Window, n int) int {
 	if !l.inGroup {
 		return n

@@ -22,10 +22,8 @@ type lawau struct {
 	in  Iterator
 	out queue
 
-	// Batched-input state: when the consumer pulls through NextBatch, the
-	// sweep pulls its own input in pooled batches too, so windows hop the
-	// whole pipeline BatchSize at a time. The scalar Next path only drains
-	// leftovers from the buffer and otherwise pulls one window at a time.
+	// Input state: the sweep pulls its own input in pooled batches, so
+	// windows hop the whole pipeline BatchSize at a time.
 	inBuf      *[]window.Window
 	inPos, inN int
 
@@ -42,17 +40,6 @@ type lawau struct {
 // documentation for the required input order.
 func LAWAU(in Iterator) Iterator { return &lawau{in: in} }
 
-// nextInput returns the next input window, consuming any batched leftovers
-// before falling back to a scalar pull.
-func (l *lawau) nextInput() (window.Window, bool) {
-	if l.inPos < l.inN {
-		w := (*l.inBuf)[l.inPos]
-		l.inPos++
-		return w, true
-	}
-	return l.in.Next()
-}
-
 func (l *lawau) releaseBuf() {
 	if l.inBuf != nil {
 		putBatchBuf(l.inBuf)
@@ -61,16 +48,10 @@ func (l *lawau) releaseBuf() {
 	l.inPos, l.inN = 0, 0
 }
 
-// consume folds one input window into the sweep state, pushing output
-// windows onto l.out.
-func (l *lawau) consume(w *window.Window) {
-	l.consumeInto(w, nil, 0)
-}
-
-// consumeInto is consume with direct emission: output windows are written
-// to buf[n:] while space remains (and the queue is empty, preserving
-// order) and overflow onto the queue. The scalar path passes a nil buf,
-// so every window takes the queue. Returns the new fill count.
+// consumeInto folds one input window into the sweep state. Output windows
+// are written to buf[n:] while space remains (and the queue is empty,
+// preserving order) and overflow onto the queue. Returns the new fill
+// count.
 func (l *lawau) consumeInto(w *window.Window, buf []window.Window, n int) int {
 	if !l.inGroup || w.RID != l.rid {
 		n = l.flushInto(buf, n)
@@ -104,27 +85,9 @@ func (l *lawau) emitInto(w *window.Window, buf []window.Window, n int) int {
 	return n
 }
 
-func (l *lawau) Next() (window.Window, bool) {
-	for {
-		if w, ok := l.out.pop(); ok {
-			return w, true
-		}
-		if l.done {
-			return window.Window{}, false
-		}
-		w, ok := l.nextInput()
-		if !ok {
-			l.flush()
-			l.done = true
-			l.releaseBuf()
-			continue
-		}
-		l.consume(&w)
-	}
-}
-
-// NextBatch implements BatchIterator: input windows are pulled in pooled
-// batches and swept a batch at a time.
+// NextBatch implements Iterator: input windows are pulled in pooled
+// batches and swept a batch at a time. At end of input the last group's
+// tail gap is flushed.
 func (l *lawau) NextBatch(buf []window.Window) int {
 	n := l.out.popInto(buf)
 	for n < len(buf) {
@@ -135,10 +98,10 @@ func (l *lawau) NextBatch(buf []window.Window) int {
 			if l.inBuf == nil {
 				l.inBuf = getBatchBuf()
 			}
-			l.inN = NextBatch(l.in, *l.inBuf)
+			l.inN = l.in.NextBatch(*l.inBuf)
 			l.inPos = 0
 			if l.inN == 0 {
-				l.flush()
+				n = l.flushInto(buf, n)
 				l.done = true
 				l.releaseBuf()
 				return n + l.out.popInto(buf[n:])
@@ -162,11 +125,7 @@ func (l *lawau) startGroup(w *window.Window) {
 	l.sawBase = false
 }
 
-// flush emits the tail gap of the group being closed, if any.
-func (l *lawau) flush() {
-	l.flushInto(nil, 0)
-}
-
+// flushInto emits the tail gap of the group being closed, if any.
 func (l *lawau) flushInto(buf []window.Window, n int) int {
 	if !l.inGroup || l.sawBase {
 		return n

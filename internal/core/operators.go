@@ -35,10 +35,10 @@ type TupleIterator interface {
 // the output attribute names. The input relations must satisfy the
 // sequenced-TP constraint (see Relation.ValidateSequenced); output tuple
 // probabilities are exact. Windows move through the pipeline in pooled
-// batches (BatchSize at a time); the produced tuples are identical to the
-// scalar reference path (ScalarJoinStream).
+// batches (BatchSize at a time), and probabilities are evaluated per
+// batch over one shared memo.
 func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string) {
-	return joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), true, nil)
+	return joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), nil)
 }
 
 // JoinStreamInstrumented is JoinStream with per-stage accounting: every
@@ -48,16 +48,8 @@ func JoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []s
 // path; plain JoinStream stays allocation- and indirection-free.
 func JoinStreamInstrumented(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string, *JoinInstr) {
 	instr := &JoinInstr{}
-	it, attrs := joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), true, instr)
+	it, attrs := joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), instr)
 	return it, attrs, instr
-}
-
-// ScalarJoinStream is JoinStream with the batched window transport
-// disabled: every window moves through one Next call at a time. It is the
-// reference implementation the batched path is validated against
-// (TestBatchScalarEquivalence) and exists only for that purpose.
-func ScalarJoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterator, []string) {
-	return joinStreamWithProbs(op, r, s, theta, tp.MergeProbs(r, s), false, nil)
 }
 
 // joinStreamWithProbs is JoinStream with a pre-merged base-event
@@ -65,7 +57,7 @@ func ScalarJoinStream(op tp.Op, r, s *tp.Relation, theta tp.Theta) (TupleIterato
 // over the same database (ParallelJoin) amortize the merge. A non-nil
 // instr interposes counting wrappers between the pipeline stages
 // (EXPLAIN ANALYZE); nil leaves the stages directly connected.
-func joinStreamWithProbs(op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, batch bool, instr *JoinInstr) (TupleIterator, []string) {
+func joinStreamWithProbs(op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, instr *JoinInstr) (TupleIterator, []string) {
 	attrs := joinAttrs(r, s)
 	// pipeline assembles one phase's window stages, wrapping each in a
 	// counting iterator when instrumented. suffix distinguishes the
@@ -121,23 +113,13 @@ func joinStreamWithProbs(op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob
 	default:
 		panic(fmt.Sprintf("core: unknown operator %v", op))
 	}
-	js := &joinStream{phases: phases, batch: batch, instr: instr}
-	if batch {
-		js.bev = prob.NewBatchEvaluator(probs)
-	} else {
-		js.ev = prob.NewEvaluator(probs)
-	}
-	return js, attrs
+	return &joinStream{phases: phases, bev: prob.NewBatchEvaluator(probs), instr: instr}, attrs
 }
 
 // Join computes the TP join of the given operator, materializing the
 // stream of JoinStream into a new relation.
 func Join(op tp.Op, r, s *tp.Relation, theta tp.Theta) *tp.Relation {
-	return joinWithProbs(op, r, s, theta, tp.MergeProbs(r, s), true)
-}
-
-func joinWithProbs(op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, batch bool) *tp.Relation {
-	out, _ := drainJoinCtx(context.Background(), op, r, s, theta, probs, batch, nil)
+	out, _ := drainJoinCtx(context.Background(), op, r, s, theta, tp.MergeProbs(r, s), nil)
 	return out
 }
 
@@ -150,12 +132,12 @@ func joinWithProbs(op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs
 // buffers up front and for the materialized tuples at every checkpoint —
 // the PNJ partition workers all charge the one per-query gauge, so the
 // whole parallel join shares one budget.
-func drainJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, batch bool, st *ParallelStats) (*tp.Relation, error) {
+func drainJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta, probs prob.Probs, st *ParallelStats) (*tp.Relation, error) {
 	gauge := mem.FromContext(ctx)
 	if err := gauge.Charge(PipelineBytes(op)); err != nil {
 		return nil, err
 	}
-	it, attrs := joinStreamWithProbs(op, r, s, theta, probs, batch, nil)
+	it, attrs := joinStreamWithProbs(op, r, s, theta, probs, nil)
 	out := &tp.Relation{
 		Name:  fmt.Sprintf("%s_%s_%s", r.Name, opTag(op), s.Name),
 		Attrs: attrs,
@@ -235,19 +217,15 @@ type phase struct {
 	opts emitOpts
 }
 
-// joinStream converts window streams into output tuples lazily. With
-// batch set, windows are pulled from each phase through the pooled batched
-// transport and probabilities are evaluated in BatchSize batches through
-// prob.BatchEvaluator (one memo across the join); the scalar path pulls
-// one window per Next call, evaluates per tuple, and is the reference
-// implementation.
+// joinStream converts window streams into output tuples lazily. Windows
+// are pulled from each phase through the pooled batched transport and
+// probabilities are evaluated in BatchSize batches through
+// prob.BatchEvaluator (one memo across the join).
 type joinStream struct {
 	phases []phase
 	cur    int
-	ev     *prob.Evaluator // scalar reference path
-	instr  *JoinInstr      // nil unless EXPLAIN ANALYZE instrumented
+	instr  *JoinInstr // nil unless EXPLAIN ANALYZE instrumented
 
-	batch        bool
 	bev          *prob.BatchEvaluator
 	buf          *[]window.Window
 	bufPos, bufN int
@@ -260,25 +238,8 @@ type joinStream struct {
 	tpos, tn int
 }
 
+// Next implements TupleIterator.
 func (j *joinStream) Next() (tp.Tuple, bool) {
-	if j.batch {
-		return j.nextBatched()
-	}
-	for j.cur < len(j.phases) {
-		ph := &j.phases[j.cur]
-		w, ok := ph.it.Next()
-		if !ok {
-			j.cur++
-			continue
-		}
-		if t, ok := ph.opts.tuple(w, j.ev); ok {
-			return t, true
-		}
-	}
-	return tp.Tuple{}, false
-}
-
-func (j *joinStream) nextBatched() (tp.Tuple, bool) {
 	for {
 		if j.tpos < j.tn {
 			t := j.tbuf[j.tpos]
@@ -293,8 +254,8 @@ func (j *joinStream) nextBatched() (tp.Tuple, bool) {
 
 // fillBatch forms up to BatchSize output tuples from the window stream —
 // fact and lineage only — then evaluates all their probabilities in one
-// EvalBatch call. Deferring the probability to the batch boundary is what
-// turns the per-tuple scalar tail into batched work over the shared memo.
+// EvalBatch call. Deferring the probability to the batch boundary turns
+// the probability tail into batched work over the shared memo.
 func (j *joinStream) fillBatch() bool {
 	if j.tbuf == nil {
 		j.tbuf = make([]tp.Tuple, BatchSize)
@@ -307,7 +268,7 @@ func (j *joinStream) fillBatch() bool {
 			if j.buf == nil {
 				j.buf = getBatchBuf()
 			}
-			j.bufN = NextBatch(j.phases[j.cur].it, *j.buf)
+			j.bufN = j.phases[j.cur].it.NextBatch(*j.buf)
 			j.bufPos = 0
 			if j.bufN == 0 {
 				j.cur++
@@ -360,19 +321,6 @@ type emitOpts struct {
 	// antiSchema drops the NULL-extension entirely (anti join outputs have
 	// r's schema).
 	antiSchema bool
-}
-
-// tuple forms the output tuple of window w with its exact probability, or
-// reports false when w's class is not part of the operator. This is the
-// scalar reference path; the batched path forms tuples via tupleLam and
-// fills probabilities per batch.
-func (o emitOpts) tuple(w window.Window, ev *prob.Evaluator) (tp.Tuple, bool) {
-	t, ok := o.tupleLam(w)
-	if !ok {
-		return tp.Tuple{}, false
-	}
-	t.Prob = ev.Prob(t.Lineage)
-	return t, true
 }
 
 // tupleLam forms the output tuple of window w — fact, lineage and

@@ -21,7 +21,7 @@ import (
 // to the paper's operators; the sweep algorithms themselves stay strictly
 // sequential per partition, as their correctness depends on group order.
 func ParallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int) *tp.Relation {
-	out, _ := parallelJoinCtx(context.Background(), op, r, s, eq, workers, true, nil)
+	out, _ := parallelJoinCtx(context.Background(), op, r, s, eq, workers, nil)
 	return out
 }
 
@@ -34,7 +34,7 @@ func ParallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int) *tp
 // error is ctx.Err(). A non-nil st additionally accounts partitions and
 // output tuples for EXPLAIN ANALYZE.
 func ParallelJoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, st *ParallelStats) (*tp.Relation, error) {
-	return parallelJoinCtx(ctx, op, r, s, eq, workers, true, st)
+	return parallelJoinCtx(ctx, op, r, s, eq, workers, st)
 }
 
 // MaxWorkers bounds the goroutine and partition count regardless of the
@@ -65,15 +65,7 @@ type ParallelStats struct {
 	Tuples atomic.Int64
 }
 
-// parallelJoin is ParallelJoinContext with the batched window transport
-// made explicit, so tests can pin batch/scalar equality of the
-// partitioned executor too.
-func parallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, batch bool) *tp.Relation {
-	out, _ := parallelJoinCtx(context.Background(), op, r, s, eq, workers, batch, nil)
-	return out
-}
-
-func parallelJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, batch bool, st *ParallelStats) (*tp.Relation, error) {
+func parallelJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, st *ParallelStats) (*tp.Relation, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -98,7 +90,7 @@ func parallelJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.Equ
 
 	results := make([]*tp.Relation, parts)
 	err := par.Run(ctx, parts, workers, func(p int) error {
-		res, err := drainJoinCtx(ctx, op, rParts[p], sParts[p], eq, merged, batch, st)
+		res, err := drainJoinCtx(ctx, op, rParts[p], sParts[p], eq, merged, st)
 		if err != nil {
 			return err
 		}

@@ -19,7 +19,7 @@ func TestNextBatchTinyBuffers(t *testing.T) {
 		buf := make([]window.Window, size)
 		var got []window.Window
 		for {
-			n := NextBatch(it, buf)
+			n := it.NextBatch(buf)
 			if n == 0 {
 				break
 			}

@@ -1,9 +1,11 @@
 package lineage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 )
 
 // Binary serialization of lineage expressions: a compact post-order
@@ -108,8 +110,10 @@ func appendUvarint(b []byte, x uint64) []byte {
 
 // Decoder reads expressions written by an Encoder.
 type Decoder struct {
-	r     *countingReader
-	names []string
+	r       *countingReader
+	names   []string
+	frame   io.LimitedReader
+	payload bytes.Buffer // reused frame buffer; nothing decoded aliases it
 }
 
 type countingReader struct {
@@ -135,10 +139,18 @@ func (dec *Decoder) Decode() (*Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	payload := make([]byte, size)
-	if _, err := io.ReadFull(dec.r.r, payload); err != nil {
+	// The frame grows only as its bytes arrive, so a corrupt size cannot
+	// force an allocation the input does not back.
+	dec.frame = io.LimitedReader{R: dec.r.r, N: int64(min(size, math.MaxInt64))}
+	dec.payload.Reset()
+	n, err := dec.payload.ReadFrom(&dec.frame)
+	if err != nil {
 		return nil, err
 	}
+	if uint64(n) != size {
+		return nil, io.ErrUnexpectedEOF
+	}
+	payload := dec.payload.Bytes()
 	var stack []*Expr
 	i := 0
 	readUvarint := func() (uint64, error) {

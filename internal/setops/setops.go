@@ -59,30 +59,28 @@ func Union(r, s *tp.Relation) (*tp.Relation, error) {
 	}
 	ev := prob.NewEvaluator(out.Probs)
 
+	buf := make([]window.Window, core.BatchSize)
+
 	// Forward pass: overlapping windows (λr ∨ λs) and r's unmatched (λr).
 	fwd := core.LAWAU(core.OverlapJoin(r, s, theta))
-	for {
-		w, ok := fwd.Next()
-		if !ok {
-			break
-		}
-		switch w.Class() {
-		case window.Overlapping:
-			lam := lineage.Or(w.Lr, w.Ls)
-			out.AppendDerived(w.Fr, lam, w.T, ev.Prob(lam))
-		case window.Unmatched:
-			out.AppendDerived(w.Fr, w.Lr, w.T, ev.Prob(w.Lr))
+	for n := fwd.NextBatch(buf); n > 0; n = fwd.NextBatch(buf) {
+		for _, w := range buf[:n] {
+			switch w.Class() {
+			case window.Overlapping:
+				lam := lineage.Or(w.Lr, w.Ls)
+				out.AppendDerived(w.Fr, lam, w.T, ev.Prob(lam))
+			case window.Unmatched:
+				out.AppendDerived(w.Fr, w.Lr, w.T, ev.Prob(w.Lr))
+			}
 		}
 	}
 	// Backward pass: s's unmatched windows (λs).
 	bwd := core.LAWAU(core.OverlapJoin(s, r, tp.Swap(theta)))
-	for {
-		w, ok := bwd.Next()
-		if !ok {
-			break
-		}
-		if w.Class() == window.Unmatched {
-			out.AppendDerived(w.Fr, w.Lr, w.T, ev.Prob(w.Lr))
+	for n := bwd.NextBatch(buf); n > 0; n = bwd.NextBatch(buf) {
+		for _, w := range buf[:n] {
+			if w.Class() == window.Unmatched {
+				out.AppendDerived(w.Fr, w.Lr, w.T, ev.Prob(w.Lr))
+			}
 		}
 	}
 	return out, nil
@@ -102,17 +100,17 @@ func Intersect(r, s *tp.Relation) (*tp.Relation, error) {
 	}
 	ev := prob.NewEvaluator(out.Probs)
 	it := core.OverlapJoin(r, s, theta)
-	for {
-		w, ok := it.Next()
-		if !ok {
-			return out, nil
+	buf := make([]window.Window, core.BatchSize)
+	for n := it.NextBatch(buf); n > 0; n = it.NextBatch(buf) {
+		for _, w := range buf[:n] {
+			if w.Class() != window.Overlapping {
+				continue
+			}
+			lam := lineage.And(w.Lr, w.Ls)
+			out.AppendDerived(w.Fr, lam, w.T, ev.Prob(lam))
 		}
-		if w.Class() != window.Overlapping {
-			continue
-		}
-		lam := lineage.And(w.Lr, w.Ls)
-		out.AppendDerived(w.Fr, lam, w.T, ev.Prob(lam))
 	}
+	return out, nil
 }
 
 // Difference computes r −Tp s: at each time point the probability that

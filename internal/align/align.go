@@ -20,30 +20,35 @@
 // The structural redundancies relative to the paper's NJ approach are kept
 // deliberately, because they are precisely what the evaluation measures:
 // tuple replication in step 1, the per-fragment cover computation of
-// step 2, re-computation of both joins' *output* by the second sub-query
-// in step 3, and the duplicate-eliminating union. Config's NestedLoop flag
-// mirrors the plan PostgreSQL's optimizer chose for TA in the paper's
-// experiments (a nested loop for r ⟕_{θo∧θ} s); hash partitioning can be
-// enabled for ablations.
+// step 2, and the duplicate-eliminating union of step 3. Config's
+// NestedLoop flag mirrors the plan PostgreSQL's optimizer chose for TA in
+// the paper's experiments (a nested loop for r ⟕_{θo∧θ} s); hash
+// partitioning can be enabled for ablations.
 //
-// Since the batched-substrate refactor the hash path runs on the same
-// allocation-lean machinery as internal/core's NJ pipeline: the inner
-// relation is hash-partitioned once per join by its interned equi key
-// (tp.KeyGroups over tp.EquiTheta.SKeyHash), and each key group is
-// compiled into an endpoint event list — the group's sorted unique
-// interval endpoints plus, per elementary segment between consecutive
-// endpoints, the covering tuples in one flat arena. Both conventional
-// joins of an alignment pass then stream off that index (split points by
-// binary search, covers as borrowed arena slices), and the index is built
-// once per join direction and reused across both alignment passes of an
-// outer join and both sub-queries of a negation join. What stays per pass
-// is exactly what the paper measures — every pass re-enumerates its
-// fragments, re-emits the unmatched rows, and the union re-deduplicates
-// them; what is gone is the incidental churn (per-tuple sort, per-fragment
-// cover allocations, per-probe rescans). The pre-refactor implementation
-// is retained as ScalarAlign (scalar.go) and the two are property-tested
-// byte-identical; the nested-loop plan and non-equi θ still execute the
-// scalar path, whose full rescans are the measured cost.
+// Every plan runs one tail, the fused streaming union of stream.go: the
+// alignment of each direction is drained once, emitting sub-query A's and
+// B's rows together (the unmatched fragments both would compute are
+// emitted once and counted in Stats.DupAvoided), the rows are sorted and
+// duplicate-eliminated, and the survivors' probabilities are evaluated in
+// batches. The plans differ only in the access path their aligner uses to
+// find each fragment's split points and cover:
+//
+//   - the indexed aligner (hash plan, equi θ): the inner relation is
+//     hash-partitioned once per join by its interned equi key
+//     (tp.KeyGroups over tp.EquiTheta.SKeyHash), and each key group is
+//     compiled into an endpoint event list — the group's sorted unique
+//     interval endpoints plus, per elementary segment between consecutive
+//     endpoints, the covering tuples in one flat arena. Split points come
+//     by binary search and covers as borrowed arena slices;
+//   - the scalar aligner (scalar.go: the nested-loop plan and non-equi θ):
+//     per outer tuple it scans the candidate inner tuples for split
+//     points and re-scans them once per fragment for its cover. Those
+//     rescans are the cost the paper's Fig. 7a measures.
+//
+// The two aligners are property-tested fragment-identical, and every plan
+// is property-tested byte-identical to the materialize-then-union
+// implementation of the tail, which lives on as the package tests'
+// oracle.
 //
 // ParallelJoin (parallel.go) is the partitioned-parallel TA executor
 // (engine strategy "pta"): the PNJ parallelism model applied to the
@@ -62,9 +67,7 @@ import (
 	"unsafe"
 
 	"tpjoin/internal/interval"
-	"tpjoin/internal/lineage"
 	"tpjoin/internal/mem"
-	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 )
 
@@ -86,22 +89,21 @@ type Config struct {
 type Stats struct {
 	// Fragments is the total fragment count across alignment passes.
 	Fragments int64
-	// AlignPasses is how many times the two conventional joins ran. The
-	// streaming path (stream.go) merges both sub-queries of a negation
-	// join into one fused drain, so an indexed left outer join reports 1
-	// where the reference reports 2.
+	// AlignPasses is how many times the two conventional joins ran: one
+	// per alignment direction, because the fused drain (stream.go) merges
+	// both sub-queries of a negation join — 1 for a left outer join, 2
+	// for a full outer join (the mirror direction).
 	AlignPasses int64
 	// Rows is the output row count before the duplicate-eliminating
 	// union (the rows actually materialized).
 	Rows int64
 	// DupAvoided counts unmatched fragments whose duplicate second
-	// materialization the streaming union killed at the merge frontier —
-	// rows the reference path materializes, sorts and then eliminates.
+	// materialization the fused drain killed at the merge frontier — rows
+	// a materialize-then-union tail would form, sort and then eliminate.
 	DupAvoided int64
 	// ProbBatches is how many probability batches the batched evaluation
 	// tail served; MemoHits how many sub-lineages it answered from the
-	// shared memo instead of re-evaluating. Both are zero on the scalar
-	// reference path.
+	// shared memo instead of re-evaluating.
 	ProbBatches int64
 	MemoHits    int64
 	// Workers is the effective worker count of a ParallelJoin (0 for the
@@ -144,8 +146,9 @@ type emitFunc func(ri int, t interval.Interval, cover []int32) error
 // from emit (or from the query context) aborts the drain. release returns
 // pooled buffers; the aligner must not be used afterwards. cheapCount
 // reports whether an extra counting drain is nearly free (the indexed
-// pipeline) or re-runs the full conventional joins (the nested-loop
-// reference, where an extra pass would inflate the measured plan by half).
+// pipeline) or re-runs the full conventional joins (the scalar aligner of
+// the nested-loop plan, where an extra pass would double the measured
+// rescans).
 type aligner interface {
 	drain(ctx context.Context, r *tp.Relation, emit emitFunc) error
 	cheapCount() bool
@@ -154,7 +157,7 @@ type aligner interface {
 
 // newAligner builds the probe-side index for one join direction: the
 // indexed event-list pipeline for hash-partitionable conditions, the
-// scalar reference for the nested-loop plan and non-equi θ.
+// scalar aligner for the nested-loop plan and non-equi θ.
 func newAligner(s *tp.Relation, theta tp.Theta, cfg Config) aligner {
 	if eq, ok := theta.(tp.EquiTheta); ok && !cfg.NestedLoop {
 		return newIndexedAligner(s, eq)
@@ -478,149 +481,6 @@ func Align(r, s *tp.Relation, theta tp.Theta, cfg Config) []Fragment {
 	return materializeFragments(al, r)
 }
 
-// row is one not-yet-deduplicated output tuple.
-type row struct {
-	fact tp.Fact
-	lam  *lineage.Expr
-	t    interval.Interval
-	pair bool // true for pairing rows (both sides present)
-}
-
-// outerRowsStream is sub-query A of the TA reduction: the aligned outer
-// join. It appends the pairing fragments and the unmatched fragments to
-// rows.
-func outerRowsStream(ctx context.Context, al aligner, r, s *tp.Relation, cfg Config, mirror bool, stats *Stats, rows []row) ([]row, error) {
-	frags := int64(0)
-	err := al.drain(ctx, r, func(ri int, t interval.Interval, cover []int32) error {
-		frags++
-		rt := &r.Tuples[ri]
-		if len(cover) == 0 {
-			fact := rt.Fact.Concat(tp.Nulls(s.Arity()))
-			if mirror {
-				fact = tp.Nulls(s.Arity()).Concat(rt.Fact)
-			}
-			rows = append(rows, row{fact: fact, lam: rt.Lineage, t: t})
-			return nil
-		}
-		for _, si := range cover {
-			st := &s.Tuples[si]
-			fact := rt.Fact.Concat(st.Fact)
-			if mirror {
-				fact = st.Fact.Concat(rt.Fact)
-			}
-			rows = append(rows, row{fact: fact, lam: lineage.And(rt.Lineage, st.Lineage), t: t, pair: true})
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if stats != nil {
-		stats.AlignPasses++
-		stats.Fragments += frags
-	}
-	return rows, nil
-}
-
-// negRowsStream is sub-query B of the TA reduction: the negated part. It
-// re-drains the alignment (re-enumerating every fragment) and appends the
-// negated fragments — and, unavoidably, the unmatched fragments a second
-// time; the final union removes those duplicates.
-func negRowsStream(ctx context.Context, al aligner, r, s *tp.Relation, cfg Config, mirror, antiSchema bool, stats *Stats, rows []row) ([]row, error) {
-	frags := int64(0)
-	var parts []*lineage.Expr
-	err := al.drain(ctx, r, func(ri int, t interval.Interval, cover []int32) error {
-		frags++
-		rt := &r.Tuples[ri]
-		fact := rt.Fact.Concat(tp.Nulls(s.Arity()))
-		switch {
-		case antiSchema:
-			fact = rt.Fact
-		case mirror:
-			fact = tp.Nulls(s.Arity()).Concat(rt.Fact)
-		}
-		if len(cover) == 0 {
-			rows = append(rows, row{fact: fact, lam: rt.Lineage, t: t})
-			return nil
-		}
-		parts = parts[:0]
-		for _, si := range cover {
-			parts = append(parts, s.Tuples[si].Lineage)
-		}
-		rows = append(rows, row{fact: fact, lam: lineage.AndNot(rt.Lineage, lineage.Or(parts...)), t: t})
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if stats != nil {
-		stats.AlignPasses++
-		stats.Fragments += frags
-	}
-	return rows, nil
-}
-
-// unionDistinct implements the duplicate-eliminating union the paper
-// describes: the rows are sorted and equal (fact, interval, lineage) rows
-// are collapsed. This sort-based pass is part of TA's measured cost — but
-// it runs on the batched substrate's terms: a stable sort over an index
-// permutation (generic, no reflection, no fat-struct swaps) with the same
-// (fact, interval, lineage-hash) order and input-order tie-breaking the
-// reference sort.SliceStable produced, so the output is byte-identical.
-func unionDistinct(rows []row) []row {
-	if len(rows) < 2 {
-		return rows
-	}
-	idx := make([]int32, len(rows))
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(i, j int32) int {
-		a, b := &rows[i], &rows[j]
-		if c := a.fact.Compare(b.fact); c != 0 {
-			return c
-		}
-		if c := a.t.Compare(b.t); c != 0 {
-			return c
-		}
-		ha, hb := a.lam.Hash(), b.lam.Hash()
-		switch {
-		case ha < hb:
-			return -1
-		case ha > hb:
-			return 1
-		default:
-			// The input index as the final tiebreaker makes the unstable
-			// sort reproduce the reference's stable order exactly.
-			return int(i) - int(j)
-		}
-	})
-	out := make([]row, 0, len(rows))
-	for n, i := range idx {
-		rw := &rows[i]
-		if n > 0 {
-			prev := &out[len(out)-1]
-			if prev.fact.Equal(rw.fact) && prev.t.Equal(rw.t) && prev.lam.Equal(rw.lam) {
-				continue
-			}
-		}
-		out = append(out, *rw)
-	}
-	return out
-}
-
-func finish(name string, attrs []string, probs prob.Probs, rows []row) *tp.Relation {
-	rel := &tp.Relation{Name: name, Attrs: attrs, Probs: probs}
-	ev := prob.NewEvaluator(probs)
-	rel.Tuples = make([]tp.Tuple, 0, len(rows))
-	for _, rw := range rows {
-		rel.Tuples = append(rel.Tuples, tp.Tuple{
-			Fact: rw.fact, Lineage: rw.lam, T: rw.t, Prob: ev.Prob(rw.lam),
-		})
-	}
-	return rel
-}
-
 func joinAttrs(r, s *tp.Relation) []string {
 	attrs := make([]string, 0, len(r.Attrs)+len(s.Attrs))
 	attrs = append(attrs, r.Attrs...)
@@ -631,143 +491,30 @@ func joinAttrs(r, s *tp.Relation) []string {
 // InnerJoin computes r ⋈Tp s with the alignment strategy: only the
 // pairing rows of the aligned outer join.
 func InnerJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := innerJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func innerJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	al := newAligner(s, theta, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamInner(ctx, al, r, s, stats)
-	}
-	outer, err := outerRowsStream(ctx, al, r, s, cfg, false, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows := outer[:0]
-	for _, rw := range outer {
-		if rw.pair {
-			rows = append(rows, rw)
-		}
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_join_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpInner, r, s, theta, cfg)
 }
 
 // AntiJoin computes r ▷Tp s with the alignment strategy: only sub-query B,
 // over r's schema.
 func AntiJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := antiJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func antiJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	al := newAligner(s, theta, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamAnti(ctx, al, r, s, stats)
-	}
-	neg, err := negRowsStream(ctx, al, r, s, cfg, false, true, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows := dedup(neg, stats)
-	return finish(fmt.Sprintf("%s_anti_%s", r.Name, s.Name),
-		append([]string(nil), r.Attrs...), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpAnti, r, s, theta, cfg)
 }
 
 // LeftOuterJoin computes r ⟕Tp s with the alignment strategy: sub-queries
-// A and B, both re-enumerating the aligned fragments, combined by the
-// duplicate-eliminating union.
+// A and B over one alignment, combined by the duplicate-eliminating union.
 func LeftOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := leftOuterJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func leftOuterJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	al := newAligner(s, theta, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamOuter(ctx, al, r, s, false,
-			fmt.Sprintf("%s_louter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), stats)
-	}
-	rows, err := outerRowsStream(ctx, al, r, s, cfg, false, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, al, r, s, cfg, false, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_louter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpLeft, r, s, theta, cfg)
 }
 
 // RightOuterJoin computes r ⟖Tp s: the mirrored left outer join.
 func RightOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := rightOuterJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func rightOuterJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	swapped := tp.Swap(theta)
-	al := newAligner(r, swapped, cfg)
-	defer al.release()
-	if al.cheapCount() {
-		return streamOuter(ctx, al, s, r, true,
-			fmt.Sprintf("%s_router_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), stats)
-	}
-	rows, err := outerRowsStream(ctx, al, s, r, cfg, true, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, al, s, r, cfg, true, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_router_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
+	return Join(tp.OpRight, r, s, theta, cfg)
 }
 
 // FullOuterJoin computes r ⟗Tp s: pairings from the forward direction,
 // negated/unmatched fragments from both, unioned with dedup.
 func FullOuterJoin(r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	out, _ := fullOuterJoinCtx(context.Background(), r, s, theta, cfg, nil)
-	return out
-}
-
-func fullOuterJoinCtx(ctx context.Context, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
-	fwd := newAligner(s, theta, cfg)
-	defer fwd.release()
-	mir := newAligner(r, tp.Swap(theta), cfg)
-	defer mir.release()
-	if fwd.cheapCount() && mir.cheapCount() {
-		return streamFull(ctx, fwd, mir, r, s, stats)
-	}
-	rows, err := outerRowsStream(ctx, fwd, r, s, cfg, false, stats, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, fwd, r, s, cfg, false, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows, err = negRowsStream(ctx, mir, s, r, cfg, true, false, stats, rows)
-	if err != nil {
-		return nil, err
-	}
-	rows = dedup(rows, stats)
-	return finish(fmt.Sprintf("%s_fouter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows), nil
-}
-
-// dedup records the pre-union row count and applies the
-// duplicate-eliminating union.
-func dedup(rows []row, stats *Stats) []row {
-	if stats != nil {
-		stats.Rows += int64(len(rows))
-	}
-	return unionDistinct(rows)
+	return Join(tp.OpFull, r, s, theta, cfg)
 }
 
 // CountWUO runs sub-query A (the aligned outer join) and returns the
@@ -814,25 +561,85 @@ func Join(op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation 
 // JoinContext is Join under a query context: the alignment passes (the
 // blocking part of the baseline) observe ctx every alignCancelCheck outer
 // tuples and every drainCancelWork units of work inside one tuple's
-// fragment drain, so a per-query timeout or client disconnect aborts the
-// materializing Open mid-alignment instead of running both conventional
-// joins to completion — even when all the work sits in one key group. On
-// cancellation the result is nil and the error is ctx.Err(). A non-nil
-// stats additionally accounts fragments, alignment passes and pre-union
-// rows for EXPLAIN ANALYZE.
+// fragment drain, and the probability tail between batches, so a
+// per-query timeout or client disconnect aborts the materializing Open
+// instead of running both conventional joins to completion — even when
+// all the work sits in one key group. A memory budget on ctx
+// (mem.WithGauge) is charged for the row buffer, the union and the
+// output tuples. On cancellation the result is nil and the error is
+// ctx.Err(). A non-nil stats additionally accounts fragments, alignment
+// passes and pre-union rows for EXPLAIN ANALYZE.
+//
+// Every operator and every access path runs the same tail (stream.go):
+// one fused drain per alignment direction into a streamUnion, then the
+// duplicate-eliminating union and the batched probability evaluation.
 func JoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config, stats *Stats) (*tp.Relation, error) {
+	// The forward drain aligns outer against inner and emits the
+	// sub-queries mode selects; the right outer join drains s against r.
+	outer, inner, th := r, s, theta
+	attrs := joinAttrs(r, s)
+	var (
+		mode         drainMode
+		mirror, anti bool
+		tag          string
+	)
 	switch op {
 	case tp.OpInner:
-		return innerJoinCtx(ctx, r, s, theta, cfg, stats)
+		mode, tag = drainPairsOnly, "join"
 	case tp.OpAnti:
-		return antiJoinCtx(ctx, r, s, theta, cfg, stats)
+		mode, anti, tag = drainNegOnly, true, "anti"
+		attrs = append([]string(nil), r.Attrs...)
 	case tp.OpLeft:
-		return leftOuterJoinCtx(ctx, r, s, theta, cfg, stats)
+		mode, tag = drainFused, "louter"
 	case tp.OpRight:
-		return rightOuterJoinCtx(ctx, r, s, theta, cfg, stats)
+		outer, inner, th = s, r, tp.Swap(theta)
+		mode, mirror, tag = drainFused, true, "router"
 	case tp.OpFull:
-		return fullOuterJoinCtx(ctx, r, s, theta, cfg, stats)
+		mode, tag = drainFused, "fouter"
 	default:
 		panic(fmt.Sprintf("align: unknown operator %v", op))
 	}
+	fwd := newAligner(inner, th, cfg)
+	defer fwd.release()
+	// The full outer join adds the mirrored sub-query B: s's negated and
+	// unmatched fragments against an alignment index over r.
+	var mir aligner
+	if op == tp.OpFull {
+		mir = newAligner(r, tp.Swap(theta), cfg)
+		defer mir.release()
+	}
+
+	// Presize the row buffer only when every drain counts cheaply;
+	// otherwise append growth takes over. The drains charge the buffer's
+	// capacity to the memory budget either way.
+	su := &streamUnion{}
+	c, counted, err := countDrain(ctx, fwd, outer)
+	if err != nil {
+		return nil, err
+	}
+	n := c.rowsFor(mode)
+	if counted && mir != nil {
+		var cm drainCounts
+		if cm, counted, err = countDrain(ctx, mir, s); err != nil {
+			return nil, err
+		}
+		n += cm.rowsFor(drainNegOnly)
+	}
+	if counted {
+		su.presize(n)
+	}
+
+	if err := newFusedDrain(su, outer, inner, mode, mirror, anti, segOuter, segNeg).run(ctx, fwd, stats); err != nil {
+		return nil, err
+	}
+	if mir != nil {
+		if err := newFusedDrain(su, s, r, drainNegOnly, true, false, segMirror, segMirror).run(ctx, mir, stats); err != nil {
+			return nil, err
+		}
+	}
+	rows, err := su.union(ctx, stats)
+	if err != nil {
+		return nil, err
+	}
+	return su.finish(ctx, fmt.Sprintf("%s_%s_%s", r.Name, tag, s.Name), attrs, tp.MergeProbs(r, s), rows, stats)
 }

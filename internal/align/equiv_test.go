@@ -1,11 +1,11 @@
 package align
 
-// Byte-identity pins between the indexed (batched-substrate) alignment
-// pipeline and the scalar reference it replaced: same fragments in the
-// same order with identically ordered covers, and — through the join
-// paths — identical output relations down to the lineage rendering and
-// row order: any hot-path change that reorders or drops a fragment fails
-// here before it can skew the evaluation.
+// Byte-identity pins: the indexed aligner against the scalar aligner
+// (same fragments in the same order with identically ordered covers), and
+// every plan's join against the materialize-then-union oracle
+// (oracle_test.go) — identical output relations down to the lineage
+// rendering and row order: any hot-path change that reorders or drops a
+// fragment fails here before it can skew the evaluation.
 
 import (
 	"context"
@@ -111,54 +111,11 @@ func TestCoverArenaGuardFallsBack(t *testing.T) {
 		got := Align(r, s, theta, Config{})
 		fragmentsEqual(t, fmt.Sprintf("guard trial %d", trial), want, got)
 		// The join paths route through the same guard.
-		wantRows := renderRows(scalarJoin(tp.OpLeft, r, s, theta, Config{}))
+		wantRows := renderRows(scalarJoin(tp.OpLeft, r, s, theta, Config{}, nil))
 		gotRows := renderRows(Join(tp.OpLeft, r, s, theta, Config{}))
 		if fmt.Sprint(wantRows) != fmt.Sprint(gotRows) {
 			t.Fatalf("guard trial %d: join rows diverge under fallback", trial)
 		}
-	}
-}
-
-// scalarJoin computes a TA join forcing the scalar aligner for every
-// pass, independent of Config — the pre-refactor implementation of the
-// whole operator.
-func scalarJoin(op tp.Op, r, s *tp.Relation, theta tp.Theta, cfg Config) *tp.Relation {
-	ctx := context.Background()
-	build := func(inner *tp.Relation, th tp.Theta) aligner { return newScalarAligner(inner, th, cfg) }
-	switch op {
-	case tp.OpInner:
-		al := build(s, theta)
-		outer, _ := outerRowsStream(ctx, al, r, s, cfg, false, nil, nil)
-		var rows []row
-		for _, rw := range outer {
-			if rw.pair {
-				rows = append(rows, rw)
-			}
-		}
-		return finish(fmt.Sprintf("%s_join_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpAnti:
-		al := build(s, theta)
-		rows, _ := negRowsStream(ctx, al, r, s, cfg, false, true, nil, nil)
-		return finish(fmt.Sprintf("%s_anti_%s", r.Name, s.Name), append([]string(nil), r.Attrs...), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpLeft:
-		al := build(s, theta)
-		rows, _ := outerRowsStream(ctx, al, r, s, cfg, false, nil, nil)
-		rows, _ = negRowsStream(ctx, al, r, s, cfg, false, false, nil, rows)
-		return finish(fmt.Sprintf("%s_louter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpRight:
-		al := build(r, tp.Swap(theta))
-		rows, _ := outerRowsStream(ctx, al, s, r, cfg, true, nil, nil)
-		rows, _ = negRowsStream(ctx, al, s, r, cfg, true, false, nil, rows)
-		return finish(fmt.Sprintf("%s_router_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	case tp.OpFull:
-		fwd := build(s, theta)
-		rows, _ := outerRowsStream(ctx, fwd, r, s, cfg, false, nil, nil)
-		rows, _ = negRowsStream(ctx, fwd, r, s, cfg, false, false, nil, rows)
-		mir := build(r, tp.Swap(theta))
-		rows, _ = negRowsStream(ctx, mir, s, r, cfg, true, false, nil, rows)
-		return finish(fmt.Sprintf("%s_fouter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), unionDistinct(rows))
-	default:
-		panic("unknown op")
 	}
 }
 
@@ -170,26 +127,48 @@ func renderRows(rel *tp.Relation) []string {
 	return out
 }
 
-// TestJoinByteIdenticalToScalar pins the whole operator: the production
-// join paths (indexed aligners under the hash config) must produce the
-// same relation — row order, lineage rendering, probabilities — as the
-// scalar-path join.
+// TestJoinByteIdenticalToScalar pins the whole operator: every production
+// plan — the indexed aligner under the hash config, the scalar aligner
+// under the nested-loop config and under a non-equi θ — runs the fused
+// streaming union and must produce the same relation (row order, lineage
+// rendering, probabilities) as the materialize-then-union oracle, on all
+// five operators. The streamed pre-union rows plus the duplicates killed
+// at the merge frontier must equal the rows the oracle materializes.
 func TestJoinByteIdenticalToScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
 	ops := []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull}
-	theta := tp.Equi(0, 0)
-	for trial := 0; trial < 60; trial++ {
-		r := denseRandRelation(rng, "r", rng.Intn(25))
-		s := denseRandRelation(rng, "s", rng.Intn(25))
-		op := ops[trial%len(ops)]
-		want := renderRows(scalarJoin(op, r, s, theta, Config{}))
-		got := renderRows(Join(op, r, s, theta, Config{}))
-		if len(want) != len(got) {
-			t.Fatalf("trial %d %v: %d vs %d rows", trial, op, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("trial %d %v: row %d differs:\n  want %s\n  got  %s", trial, op, i, want[i], got[i])
+	for _, plan := range []struct {
+		name  string
+		theta tp.Theta
+		cfg   Config
+	}{
+		{"hash", tp.Equi(0, 0), Config{}},
+		{"nested-loop", tp.Equi(0, 0), Config{NestedLoop: true}},
+		{"true-theta", tp.TrueTheta{}, Config{}},
+	} {
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 40; trial++ {
+			r := denseRandRelation(rng, "r", rng.Intn(25))
+			s := denseRandRelation(rng, "s", rng.Intn(25))
+			for _, op := range ops {
+				var ref, st Stats
+				want := renderRows(scalarJoin(op, r, s, plan.theta, plan.cfg, &ref))
+				out, err := JoinContext(context.Background(), op, r, s, plan.theta, plan.cfg, &st)
+				if err != nil {
+					t.Fatalf("%s trial %d %v: %v", plan.name, trial, op, err)
+				}
+				got := renderRows(out)
+				if len(want) != len(got) {
+					t.Fatalf("%s trial %d %v: %d vs %d rows", plan.name, trial, op, len(want), len(got))
+				}
+				for i := range want {
+					if want[i] != got[i] {
+						t.Fatalf("%s trial %d %v: row %d differs:\n  want %s\n  got  %s", plan.name, trial, op, i, want[i], got[i])
+					}
+				}
+				if st.Rows+st.DupAvoided != ref.Rows {
+					t.Fatalf("%s trial %d %v: streamed rows %d + dup-avoided %d != oracle rows %d",
+						plan.name, trial, op, st.Rows, st.DupAvoided, ref.Rows)
+				}
 			}
 		}
 	}

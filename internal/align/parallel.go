@@ -2,7 +2,6 @@ package align
 
 import (
 	"context"
-	"runtime"
 
 	"tpjoin/internal/par"
 	"tpjoin/internal/tp"
@@ -39,64 +38,31 @@ func ParallelJoin(op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, cfg Config, work
 // per-partition alignment counters (passes, fragments, pre-union rows)
 // for EXPLAIN ANALYZE.
 func ParallelJoinContext(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, cfg Config, workers int, st *Stats) (*tp.Relation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > par.MaxWorkers {
-		workers = par.MaxWorkers
-	}
-	parts := workers * 4 // over-partition to smooth skew, like core.ParallelJoin
-	if parts < 1 {
-		parts = 1
-	}
+	var sized func(workers, parts int)
+	var partStats []Stats
 	if st != nil {
-		st.Workers = int64(workers)
-		st.Partitions = int64(parts)
+		sized = func(workers, parts int) {
+			st.Workers, st.Partitions = int64(workers), int64(parts)
+			partStats = make([]Stats, parts)
+		}
 	}
-
-	rParts := par.PartitionByKey(r, eq.RCols, parts)
-	sParts := par.PartitionByKey(s, eq.SCols, parts)
-
-	results := make([]*tp.Relation, parts)
-	partStats := make([]Stats, parts)
-	err := par.Run(ctx, parts, workers, func(p int) error {
+	out, err := par.Join(ctx, r, s, eq, workers, tp.MergeProbs(r, s), sized, func(p int, rp, sp *tp.Relation) (*tp.Relation, error) {
 		var ps *Stats
 		if st != nil {
 			ps = &partStats[p]
 		}
-		res, err := JoinContext(ctx, op, rParts[p], sParts[p], eq, cfg, ps)
-		if err != nil {
-			return err
-		}
-		results[p] = res
-		return nil
+		return JoinContext(ctx, op, rp, sp, eq, cfg, ps)
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	out := &tp.Relation{
-		Name:  results[0].Name,
-		Attrs: results[0].Attrs,
-		Probs: tp.MergeProbs(r, s),
-	}
-	n := 0
-	for _, res := range results {
-		n += res.Len()
-	}
-	out.Tuples = make([]tp.Tuple, 0, n)
-	for _, res := range results {
-		out.Tuples = append(out.Tuples, res.Tuples...)
-	}
-	if st != nil {
-		for p := range partStats {
-			st.AlignPasses += partStats[p].AlignPasses
-			st.Fragments += partStats[p].Fragments
-			st.Rows += partStats[p].Rows
-			st.DupAvoided += partStats[p].DupAvoided
-			st.ProbBatches += partStats[p].ProbBatches
-			st.MemoHits += partStats[p].MemoHits
-		}
+	for p := range partStats {
+		st.AlignPasses += partStats[p].AlignPasses
+		st.Fragments += partStats[p].Fragments
+		st.Rows += partStats[p].Rows
+		st.DupAvoided += partStats[p].DupAvoided
+		st.ProbBatches += partStats[p].ProbBatches
+		st.MemoHits += partStats[p].MemoHits
 	}
 	return out, nil
 }

@@ -1,18 +1,17 @@
 package align
 
-// The scalar reference implementation of the alignment step: the
-// pre-batched-substrate algorithm kept verbatim in behaviour — per outer
-// tuple, collect the split points of the matching overlapping inner
-// tuples (conventional join 1), sort them, and re-probe the inner
-// relation once per fragment for its covering tuples (conventional
-// join 2). The indexed pipeline in align.go is property-tested
-// byte-identical against this code (TestIndexedMatchesScalarAlign).
-//
-// Besides serving as the reference, this path still executes two real
-// configurations: Config.NestedLoop — the plan PostgreSQL's optimizer
-// chose for TA in the paper's evaluation, whose full per-tuple re-scan
-// of the inner relation is exactly the measured cost — and non-equi θ
-// conditions, which cannot be hash-partitioned.
+// The scalar aligner: the access path of the nested-loop plan and of
+// non-equi θ. Per outer tuple it collects the split points of the
+// matching overlapping inner tuples (conventional join 1), sorts them, and
+// re-probes the candidate inner tuples once per fragment for its covering
+// tuples (conventional join 2). Under Config.NestedLoop — the plan
+// PostgreSQL's optimizer chose for TA in the paper's evaluation — the
+// candidates are the whole inner relation, and that per-fragment rescan is
+// exactly the measured cost; non-equi θ cannot be hash-partitioned at all.
+// Its fragments feed the same fused streaming union (stream.go) as the
+// indexed aligner's. It is also the fragment reference the indexed
+// aligner is property-tested against (TestIndexedMatchesScalarAlign) and
+// the indexed aligner's fallback for pathological key groups.
 
 import (
 	"context"
@@ -77,12 +76,10 @@ func (ix *scalarInner) candidates(f tp.Fact) []int32 {
 	return ix.all
 }
 
-// scalarAligner adapts the reference algorithm to the streaming aligner
-// contract. The points and cover buffers are reused across tuples, which
-// changes nothing observable (the emitted fragments are identical); the
-// nested-loop path inherits the reference's full per-fragment re-scan of
-// the inner relation, because that redundancy is what the paper's Fig. 7a
-// measures.
+// scalarAligner implements the aligner contract tuple-at-a-time. The
+// points and cover buffers are reused across tuples; the nested-loop
+// path keeps the full per-fragment re-scan of the inner relation, because
+// that redundancy is what the paper's Fig. 7a measures.
 type scalarAligner struct {
 	s      *tp.Relation
 	theta  tp.Theta
@@ -166,14 +163,4 @@ func dedupTimes(ts []interval.Time) []interval.Time {
 		}
 	}
 	return out
-}
-
-// ScalarAlign is the reference alignment: the two conventional joins of
-// the TA reduction executed tuple-at-a-time with per-fragment re-probes,
-// exactly as the baseline ran before the batched refactor. Align must
-// produce byte-identical fragments (property-tested); ScalarAlign exists
-// so that equivalence stays checkable.
-func ScalarAlign(r, s *tp.Relation, theta tp.Theta, cfg Config) []Fragment {
-	a := newScalarAligner(s, theta, cfg)
-	return materializeFragments(a, r)
 }

@@ -1,25 +1,28 @@
 package align
 
-// This file is the streaming side of the TA reduction: the fused
-// alignment drain that replaced the materialize-then-unionDistinct tail
-// for the indexed (hash) plan.
+// This file is the TA tail every plan runs: the fused alignment drain,
+// the duplicate-eliminating union and the batched probability
+// evaluation. JoinContext (align.go) drives it once per alignment
+// direction, whichever aligner — indexed or scalar — supplies the
+// fragments.
 //
-// The reference implementation (align.go, still run for the nested-loop
-// plan and non-equi θ, and kept as the byte-identity oracle) evaluates a
-// join with negation as two sub-queries over the same alignment — the
-// aligned outer join (A: pairings + unmatched fragments) and the negated
-// part (B: negated + unmatched fragments again) — materializes both row
-// sets with fully formed facts, sorts them, and duplicate-eliminates.
-// Both sub-queries enumerate the *same* fragment stream in the *same*
-// order off the per-direction endpoint index, so the fused drain merges
-// them at the frontier instead: one enumeration emits A's rows and B's
-// rows together, and the duplicated unmatched fragments — identical
-// (fact, interval, lineage) rows by construction — are emitted once and
-// counted in Stats.DupAvoided. Row formation is deferred too: a streamed
-// row carries an interned fact id instead of a materialized fact slice,
-// so the union sorts by a precomputed integer rank (one comparison sort
-// over the small fact table) rather than lexicographically comparing
-// facts row by row, and output tuples share the interned fact slices.
+// The paper's formulation evaluates a join with negation as two
+// sub-queries over the same alignment — the aligned outer join (A:
+// pairings + unmatched fragments) and the negated part (B: negated +
+// unmatched fragments again) — materializes both row sets with fully
+// formed facts, sorts them, and duplicate-eliminates. That
+// materialize-then-union tail is kept as the tests' byte-identity oracle
+// (oracle_test.go), called "the reference" below. Both sub-queries
+// enumerate the *same* fragment stream in the *same* order off one
+// aligner, so the fused drain merges them at the frontier instead: one
+// enumeration emits A's rows and B's rows together, and the duplicated
+// unmatched fragments — identical (fact, interval, lineage) rows by
+// construction — are emitted once and counted in Stats.DupAvoided. Row
+// formation is deferred too: a streamed row carries an interned fact id
+// instead of a materialized fact slice, so the union sorts by a
+// precomputed integer rank (one comparison sort over the small fact
+// table) rather than lexicographically comparing facts row by row, and
+// output tuples share the interned fact slices.
 //
 // Merge-order invariant: every streamed row carries ord = (sub-query,
 // emission index) — A rows order before B rows before the mirror pass's
@@ -27,19 +30,20 @@ package align
 // ordinal while the B ordinal is still consumed. This makes the union's
 // (fact, interval, lineage-hash, ord) sort a permutation-identical
 // replay of the reference's concatenate-then-sort order, which is what
-// keeps the streamed join byte-identical to the scalar oracle (row
-// order, lineage rendering, probabilities) — property-tested in
-// equiv_test.go and stream_test.go.
+// keeps every plan byte-identical to the oracle (row order, lineage
+// rendering, probabilities) — property-tested in equiv_test.go and
+// stream_test.go.
 //
 // The tail is batched as well: surviving rows are evaluated through
 // prob.BatchEvaluator in probBatchSize chunks (shared memo across the
 // join, counters surfaced as prob-batches / memo-hits in EXPLAIN
 // ANALYZE), with a cancellation + memory-budget checkpoint per chunk.
+// The row buffer is charged to the memory budget as it grows, so plans
+// that cannot presize it (see countDrain) hit the budget mid-drain.
 
 import (
 	"cmp"
 	"context"
-	"fmt"
 	"slices"
 	"unsafe"
 
@@ -88,8 +92,9 @@ const (
 // streamUnion accumulates the streamed rows and the interned fact table
 // of one join.
 type streamUnion struct {
-	rows  []srow
-	facts []tp.Fact
+	rows    []srow
+	facts   []tp.Fact
+	charged int // row capacity already charged to the memory budget
 }
 
 // drainMode selects which of the reference sub-queries a fused drain
@@ -250,7 +255,7 @@ func coverHash(cover []int32) uint64 {
 // sub-query-A row (pairings and unmatched), bSeq for every fragment's
 // sub-query-B row — including the fused unmatched row, whose B ordinal
 // is consumed even though the duplicate row is never formed.
-func (d *fusedDrain) emit(ri int, t interval.Interval, cover []int32) error {
+func (d *fusedDrain) emit(ri int, t interval.Interval, cover []int32) {
 	rt := &d.outer.Tuples[ri]
 	su := d.su
 	if len(cover) == 0 {
@@ -275,7 +280,7 @@ func (d *fusedDrain) emit(ri int, t interval.Interval, cover []int32) error {
 			})
 			d.bSeq++
 		}
-		return nil
+		return
 	}
 	if d.mode != drainNegOnly {
 		for _, si := range cover {
@@ -296,17 +301,18 @@ func (d *fusedDrain) emit(ri int, t interval.Interval, cover []int32) error {
 		})
 		d.bSeq++
 	}
-	return nil
 }
 
 // run drains al over the outer relation through emit, accounting one
 // alignment pass. A fused drain counts as one pass: the reference's two
 // sub-query enumerations are merged into it, which is the point.
 func (d *fusedDrain) run(ctx context.Context, al aligner, stats *Stats) error {
+	gauge := mem.FromContext(ctx)
 	frags := int64(0)
 	err := al.drain(ctx, d.outer, func(ri int, t interval.Interval, cover []int32) error {
 		frags++
-		return d.emit(ri, t, cover)
+		d.emit(ri, t, cover)
+		return d.su.chargeRows(gauge)
 	})
 	if err != nil {
 		return err
@@ -329,7 +335,7 @@ type drainCounts struct {
 
 // countDrain runs the counting pass for one drain direction. Counting
 // gates on cheapCount: the indexed pipeline re-drains its event index
-// for near-free, while the nested-loop reference would pay a full extra
+// for near-free, while the scalar aligner would pay a full extra
 // scan — those plans must never pay the counting pass (ok=false; the
 // caller falls back to append growth).
 func countDrain(ctx context.Context, al aligner, outer *tp.Relation) (c drainCounts, ok bool, err error) {
@@ -363,20 +369,30 @@ func (c drainCounts) rowsFor(mode drainMode) int {
 	}
 }
 
-// presizeStream allocates the streamed row buffer for n expected rows,
-// charging it against the query's memory budget. n <= 0 (an uncounted
-// drain) yields a nil buffer and append growth takes over.
-func presizeStream(ctx context.Context, n int) ([]srow, error) {
-	if n <= 0 {
-		return nil, nil
-	}
+// presize allocates the streamed row buffer for n counted rows (clamped
+// at maxStreamPresize). The drains' chargeRows bills it to the query's
+// memory budget like any append growth.
+func (su *streamUnion) presize(n int) {
 	if n > maxStreamPresize {
 		n = maxStreamPresize
 	}
-	if err := mem.FromContext(ctx).Charge(int64(n) * int64(unsafe.Sizeof(srow{}))); err != nil {
-		return nil, err
+	if n > 0 {
+		su.rows = make([]srow, 0, n)
 	}
-	return make([]srow, 0, n), nil
+}
+
+// chargeRows charges the row buffer's capacity not yet charged: the
+// presized buffer once, and every append regrowth of an uncounted drain
+// as it happens — so a nested-loop or non-equi plan hits the budget
+// mid-drain rather than only at the union.
+func (su *streamUnion) chargeRows(g *mem.Gauge) error {
+	c := cap(su.rows)
+	if c <= su.charged {
+		return nil
+	}
+	err := g.Charge(int64(c-su.charged) * int64(unsafe.Sizeof(srow{})))
+	su.charged = c
+	return err
 }
 
 // union orders the streamed rows by (fact rank, interval, lineage hash,
@@ -548,108 +564,4 @@ func (su *streamUnion) finish(ctx context.Context, name string, attrs []string, 
 		stats.MemoHits += bev.MemoHits()
 	}
 	return rel, nil
-}
-
-// --- streamed join paths (indexed aligners; dispatched by cheapCount) ---
-
-func streamInner(ctx context.Context, al aligner, r, s *tp.Relation, stats *Stats) (*tp.Relation, error) {
-	c, counted, err := countDrain(ctx, al, r)
-	if err != nil {
-		return nil, err
-	}
-	su := &streamUnion{}
-	if counted {
-		if su.rows, err = presizeStream(ctx, c.rowsFor(drainPairsOnly)); err != nil {
-			return nil, err
-		}
-	}
-	d := newFusedDrain(su, r, s, drainPairsOnly, false, false, segOuter, segNeg)
-	if err := d.run(ctx, al, stats); err != nil {
-		return nil, err
-	}
-	rows, err := su.union(ctx, stats)
-	if err != nil {
-		return nil, err
-	}
-	return su.finish(ctx, fmt.Sprintf("%s_join_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows, stats)
-}
-
-func streamAnti(ctx context.Context, al aligner, r, s *tp.Relation, stats *Stats) (*tp.Relation, error) {
-	c, counted, err := countDrain(ctx, al, r)
-	if err != nil {
-		return nil, err
-	}
-	su := &streamUnion{}
-	if counted {
-		if su.rows, err = presizeStream(ctx, c.rowsFor(drainNegOnly)); err != nil {
-			return nil, err
-		}
-	}
-	d := newFusedDrain(su, r, s, drainNegOnly, false, true, segOuter, segNeg)
-	if err := d.run(ctx, al, stats); err != nil {
-		return nil, err
-	}
-	rows, err := su.union(ctx, stats)
-	if err != nil {
-		return nil, err
-	}
-	return su.finish(ctx, fmt.Sprintf("%s_anti_%s", r.Name, s.Name),
-		append([]string(nil), r.Attrs...), tp.MergeProbs(r, s), rows, stats)
-}
-
-// streamOuter serves the left outer join (mirror=false: drains r against
-// the index over s) and its mirror, the right outer join (mirror=true:
-// drains s against the index over r; outer/inner arrive pre-swapped).
-func streamOuter(ctx context.Context, al aligner, outer, inner *tp.Relation, mirror bool, name string, attrs []string, probs prob.Probs, stats *Stats) (*tp.Relation, error) {
-	c, counted, err := countDrain(ctx, al, outer)
-	if err != nil {
-		return nil, err
-	}
-	su := &streamUnion{}
-	if counted {
-		if su.rows, err = presizeStream(ctx, c.rowsFor(drainFused)); err != nil {
-			return nil, err
-		}
-	}
-	d := newFusedDrain(su, outer, inner, drainFused, mirror, false, segOuter, segNeg)
-	if err := d.run(ctx, al, stats); err != nil {
-		return nil, err
-	}
-	rows, err := su.union(ctx, stats)
-	if err != nil {
-		return nil, err
-	}
-	return su.finish(ctx, name, attrs, probs, rows, stats)
-}
-
-func streamFull(ctx context.Context, fwd, mir aligner, r, s *tp.Relation, stats *Stats) (*tp.Relation, error) {
-	cf, countedF, err := countDrain(ctx, fwd, r)
-	if err != nil {
-		return nil, err
-	}
-	cm, countedM, err := countDrain(ctx, mir, s)
-	if err != nil {
-		return nil, err
-	}
-	su := &streamUnion{}
-	if countedF && countedM {
-		// Both directions counted: the presize covers the mirror pass's
-		// rows too, which the reference sizing never did.
-		if su.rows, err = presizeStream(ctx, cf.rowsFor(drainFused)+cm.rowsFor(drainNegOnly)); err != nil {
-			return nil, err
-		}
-	}
-	d := newFusedDrain(su, r, s, drainFused, false, false, segOuter, segNeg)
-	if err := d.run(ctx, fwd, stats); err != nil {
-		return nil, err
-	}
-	dm := newFusedDrain(su, s, r, drainNegOnly, true, false, segMirror, segMirror)
-	if err := dm.run(ctx, mir, stats); err != nil {
-		return nil, err
-	}
-	rows, err := su.union(ctx, stats)
-	if err != nil {
-		return nil, err
-	}
-	return su.finish(ctx, fmt.Sprintf("%s_fouter_%s", r.Name, s.Name), joinAttrs(r, s), tp.MergeProbs(r, s), rows, stats)
 }

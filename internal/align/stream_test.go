@@ -3,15 +3,18 @@ package align
 // Tests pinning the streaming union's contracts beyond byte-identity
 // (equiv_test.go): the counting pass is gated on cheapCount so nested-loop
 // plans never pay it, the counted presize covers the materialized rows
-// exactly, the streamed join paths match the pre-refactor
-// materialize-then-unionDistinct implementation on the seeded benchmark
-// workloads, and the new EXPLAIN counters are populated.
+// exactly, the joins match the materialize-then-union oracle on the
+// seeded benchmark workloads, the EXPLAIN counters are populated and
+// plan-independent, and the uncounted plans honour the memory budget and
+// cancellation.
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"tpjoin/internal/dataset"
+	"tpjoin/internal/mem"
 	"tpjoin/internal/tp"
 )
 
@@ -122,9 +125,8 @@ func TestStreamPresizeCoversRows(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesUnionDistinctOnWorkloads pins the streamed paths to the
-// pre-refactor implementation (materialize both sub-queries, then
-// unionDistinct) byte-for-byte on the seeded benchmark workloads — the
+// TestStreamMatchesUnionDistinctOnWorkloads pins the joins to the oracle
+// (materialize both sub-queries, then unionDistinct) byte-for-byte on the seeded benchmark workloads — the
 // workload-scale counterpart of TestJoinByteIdenticalToScalar's random
 // relations, where per-key chains and group structure are realistic.
 func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
@@ -139,7 +141,7 @@ func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 		r, s := gen.mk()
 		theta := dataset.WebkitTheta()
 		for _, op := range ops {
-			want := renderRows(scalarJoin(op, r, s, theta, Config{}))
+			want := renderRows(scalarJoin(op, r, s, theta, Config{}, nil))
 			got := renderRows(Join(op, r, s, theta, Config{}))
 			if len(want) != len(got) {
 				t.Fatalf("%s %v: %d vs %d rows", gen.name, op, len(want), len(got))
@@ -155,11 +157,11 @@ func TestStreamMatchesUnionDistinctOnWorkloads(t *testing.T) {
 }
 
 // TestStreamStatsCounters pins the semantics of the counters the streaming
-// union added to Stats: a fused left outer join runs one alignment pass
-// (the reference runs two), kills at least one duplicate unmatched
-// fragment at the merge frontier on a workload with partial coverage, and
-// evaluates probabilities in batches; the nested-loop reference path
-// reports zero for the streaming-only counters.
+// union added to Stats: a fused left outer join runs one alignment pass,
+// kills at least one duplicate unmatched fragment at the merge frontier
+// on a workload with partial coverage, and evaluates probabilities in
+// batches. The nested-loop plan runs the same tail over the same
+// fragments, so it must report exactly the hash plan's counters.
 func TestStreamStatsCounters(t *testing.T) {
 	r, s := dataset.Meteo(300, 5)
 	theta := dataset.MeteoTheta()
@@ -186,14 +188,57 @@ func TestStreamStatsCounters(t *testing.T) {
 		t.Errorf("fused full outer: AlignPasses = %d, want 2", full.AlignPasses)
 	}
 
-	var nl Stats
-	if _, err := JoinContext(context.Background(), tp.OpLeft, r, s, theta, Config{NestedLoop: true}, &nl); err != nil {
-		t.Fatal(err)
+	for _, op := range []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull} {
+		var hash, nl Stats
+		if _, err := JoinContext(context.Background(), op, r, s, theta, Config{}, &hash); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := JoinContext(context.Background(), op, r, s, theta, Config{NestedLoop: true}, &nl); err != nil {
+			t.Fatal(err)
+		}
+		if nl != hash {
+			t.Errorf("%v: nested-loop stats %+v != hash stats %+v", op, nl, hash)
+		}
 	}
-	if nl.DupAvoided != 0 || nl.ProbBatches != 0 || nl.MemoHits != 0 {
-		t.Errorf("nested-loop reference path reported streaming counters: %+v", nl)
+}
+
+// TestUncountedPlansHonourBudgetAndCancel pins the budget and
+// cancellation contract on the plans whose aligner cannot count cheaply
+// (nested loop, non-equi θ): they run the same streaming tail as the hash
+// plan, so a 64 KiB budget fails the join with a budget error — the row
+// buffer's regrowth is charged as it happens — and a cancelled context
+// aborts it with context.Canceled.
+func TestUncountedPlansHonourBudgetAndCancel(t *testing.T) {
+	r, s := dataset.Meteo(2000, 5)
+	for _, plan := range []struct {
+		name  string
+		theta tp.Theta
+		cfg   Config
+	}{
+		{"nested-loop", dataset.MeteoTheta(), Config{NestedLoop: true}},
+		{"true-theta", tp.TrueTheta{}, Config{}},
+	} {
+		g := mem.NewGauge(64 << 10)
+		out, err := JoinContext(mem.WithGauge(context.Background(), g), tp.OpLeft, r, s, plan.theta, plan.cfg, nil)
+		if !mem.IsBudget(err) || out != nil {
+			t.Errorf("%s: 64 KiB budget: got %v rows, err %v; want a budget error", plan.name, rowCount(out), err)
+		}
+		if g.Used() <= g.Limit() {
+			t.Errorf("%s: gauge used %d of %d; the overrun charge must stay counted", plan.name, g.Used(), g.Limit())
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		out, err = JoinContext(ctx, tp.OpLeft, r, s, plan.theta, plan.cfg, nil)
+		if !errors.Is(err, context.Canceled) || out != nil {
+			t.Errorf("%s: cancelled ctx: got %v rows, err %v; want context.Canceled", plan.name, rowCount(out), err)
+		}
 	}
-	if nl.AlignPasses != 2 {
-		t.Errorf("reference left outer: AlignPasses = %d, want 2", nl.AlignPasses)
+}
+
+func rowCount(rel *tp.Relation) int {
+	if rel == nil {
+		return 0
 	}
+	return rel.Len()
 }

@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
-	"runtime"
 	"sync/atomic"
 
 	"tpjoin/internal/par"
@@ -66,56 +64,18 @@ type ParallelStats struct {
 }
 
 func parallelJoinCtx(ctx context.Context, op tp.Op, r, s *tp.Relation, eq tp.EquiTheta, workers int, st *ParallelStats) (*tp.Relation, error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > MaxWorkers {
-		workers = MaxWorkers
-	}
-	parts := workers * 4 // over-partition to smooth skew
-	if parts < 1 {
-		parts = 1
-	}
+	var sized func(workers, parts int)
 	if st != nil {
-		st.Workers = int64(workers)
-		st.Partitions = int64(parts)
+		sized = func(workers, parts int) { st.Workers, st.Partitions = int64(workers), int64(parts) }
 	}
-
-	rParts := par.PartitionByKey(r, eq.RCols, parts)
-	sParts := par.PartitionByKey(s, eq.SCols, parts)
-
 	// Merge the base-event probabilities once; the map is only read by
 	// the workers' evaluators, so sharing it across goroutines is safe.
 	merged := tp.MergeProbs(r, s)
-
-	results := make([]*tp.Relation, parts)
-	err := par.Run(ctx, parts, workers, func(p int) error {
-		res, err := drainJoinCtx(ctx, op, rParts[p], sParts[p], eq, merged, st)
-		if err != nil {
-			return err
-		}
-		results[p] = res
-		if st != nil {
+	return par.Join(ctx, r, s, eq, workers, merged, sized, func(_ int, rp, sp *tp.Relation) (*tp.Relation, error) {
+		res, err := drainJoinCtx(ctx, op, rp, sp, eq, merged, st)
+		if err == nil && st != nil {
 			st.PartitionsDone.Add(1)
 		}
-		return nil
+		return res, err
 	})
-	if err != nil {
-		return nil, err
-	}
-
-	out := &tp.Relation{
-		Name:  fmt.Sprintf("%s_%s_%s", r.Name, opTag(op), s.Name),
-		Attrs: results[0].Attrs,
-		Probs: merged,
-	}
-	n := 0
-	for _, res := range results {
-		n += res.Len()
-	}
-	out.Tuples = make([]tp.Tuple, 0, n)
-	for _, res := range results {
-		out.Tuples = append(out.Tuples, res.Tuples...)
-	}
-	return out, nil
 }

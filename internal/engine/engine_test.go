@@ -114,35 +114,6 @@ func TestSortOperator(t *testing.T) {
 	}
 }
 
-func TestDistinct(t *testing.T) {
-	a := paperA()
-	u, err := NewUnionAll(NewScan(a), NewScan(a))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := NewDistinct(u)
-	out, err := Run(d, "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Errorf("distinct kept %d, want 2", out.Len())
-	}
-}
-
-func TestUnionAllValidation(t *testing.T) {
-	if _, err := NewUnionAll(); err == nil {
-		t.Errorf("empty union must error")
-	}
-	one, err := NewProject(NewScan(paperA()), []int{0}, []string{"Name"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewUnionAll(NewScan(paperA()), one); err == nil {
-		t.Errorf("arity mismatch must error")
-	}
-}
-
 func TestTPJoinNJMatchesCore(t *testing.T) {
 	for _, op := range []tp.Op{tp.OpInner, tp.OpAnti, tp.OpLeft, tp.OpRight, tp.OpFull} {
 		j := NewTPJoin(op, NewScan(paperA()), NewScan(paperB()), theta, StrategyNJ, align.Config{})

@@ -62,9 +62,6 @@ func TestErrorPropagation(t *testing.T) {
 		},
 		"Limit": func(in Operator) Operator { return NewLimit(in, 10) },
 		"Sort":  func(in Operator) Operator { return NewSort(in, ByStart) },
-		"Distinct": func(in Operator) Operator {
-			return NewDistinct(in)
-		},
 	}
 	for name, wrap := range composites {
 		// Failure during Next.
@@ -75,23 +72,6 @@ func TestErrorPropagation(t *testing.T) {
 		if _, err := Run(wrap(mkOpen()), "q"); !errors.Is(err, errInjected) {
 			t.Errorf("%s: Open failure not propagated: %v", name, err)
 		}
-	}
-}
-
-func TestErrorPropagationUnion(t *testing.T) {
-	u, err := NewUnionAll(NewScan(paperA()), newFaulty(NewScan(paperA()), false, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(u, "q"); !errors.Is(err, errInjected) {
-		t.Errorf("union must propagate child failure: %v", err)
-	}
-	u2, err := NewUnionAll(newFaulty(NewScan(paperA()), true, 0), NewScan(paperA()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run(u2, "q"); !errors.Is(err, errInjected) {
-		t.Errorf("union must propagate child Open failure: %v", err)
 	}
 }
 

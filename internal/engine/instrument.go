@@ -54,14 +54,8 @@ func Instrument(op Operator) *Instrumented {
 		o.in = Instrument(o.in)
 	case *Sort:
 		o.in = Instrument(o.in)
-	case *Distinct:
-		o.in = Instrument(o.in)
 	case *LineageDistinct:
 		o.in = Instrument(o.in)
-	case *UnionAll:
-		for i := range o.ins {
-			o.ins[i] = Instrument(o.ins[i])
-		}
 	case *TPSetOp:
 		o.left = Instrument(o.left)
 		o.right = Instrument(o.right)

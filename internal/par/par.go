@@ -1,17 +1,19 @@
 // Package par is the shared scaffolding of the partitioned-parallel
-// executors (core.ParallelJoin / PNJ and align.ParallelJoin / PTA): key
-// hash partitioning of relations and a bounded worker pool with the
-// cancellation, error and panic semantics blocking query operators need.
-// It sits below both executor packages so the subtle concurrency code
-// exists exactly once.
+// executors (core.ParallelJoin / PNJ and align.ParallelJoin / PTA): the
+// partitioned join driver both run, key hash partitioning of relations
+// and a bounded worker pool with the cancellation, error and panic
+// semantics blocking query operators need. It sits below both executor
+// packages so the subtle concurrency code exists exactly once.
 package par
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"tpjoin/internal/fault"
+	"tpjoin/internal/prob"
 	"tpjoin/internal/tp"
 )
 
@@ -20,6 +22,50 @@ import (
 // applies the same cap at SET time so rejected values never reach an
 // executor.
 const MaxWorkers = 1024
+
+// Join is the partitioned driver both executors run: it clamps workers
+// (≤ 0 means GOMAXPROCS, at most MaxWorkers), over-partitions to
+// workers × 4 partitions to smooth key skew, hash-partitions both inputs
+// on the equi key, runs join on every partition pair under Run's
+// cancellation, error and panic semantics, and concatenates the results
+// in partition order — deterministic regardless of scheduling — under the
+// first partition's name and attributes and the given probabilities.
+// sized, when non-nil, receives the effective worker and partition counts
+// before any partition starts, so EXPLAIN shows them after an abort too.
+func Join(ctx context.Context, r, s *tp.Relation, eq tp.EquiTheta, workers int, probs prob.Probs,
+	sized func(workers, parts int), join func(p int, r, s *tp.Relation) (*tp.Relation, error)) (*tp.Relation, error) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, MaxWorkers)
+	parts := workers * 4
+	if sized != nil {
+		sized(workers, parts)
+	}
+
+	rParts := PartitionByKey(r, eq.RCols, parts)
+	sParts := PartitionByKey(s, eq.SCols, parts)
+	results := make([]*tp.Relation, parts)
+	err := Run(ctx, parts, workers, func(p int) error {
+		res, err := join(p, rParts[p], sParts[p])
+		results[p] = res
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	out := &tp.Relation{Name: results[0].Name, Attrs: results[0].Attrs, Probs: probs}
+	n := 0
+	for _, res := range results {
+		n += res.Len()
+	}
+	out.Tuples = make([]tp.Tuple, 0, n)
+	for _, res := range results {
+		out.Tuples = append(out.Tuples, res.Tuples...)
+	}
+	return out, nil
+}
 
 // Run executes run(p) for every partition index in [0, parts) on a
 // worker pool of the given size:

@@ -217,9 +217,12 @@ func TestChaosUnderAdmission(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fault.Set("par.worker", fault.Times(2, fault.Panicf("chaos")))
 	t.Cleanup(fault.Reset)
 	for i := 0; i < 2; i++ {
+		// Re-armed per query: one armed Times(2) could fire twice inside
+		// the first query's two concurrent workers, leaving the second
+		// query unpanicked.
+		fault.Set("par.worker", fault.Times(1, fault.Panicf("chaos")))
 		if _, err := c.Query(ctx, joinQueries[0]); err == nil {
 			t.Fatal("panic-injected query succeeded")
 		}
